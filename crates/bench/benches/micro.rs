@@ -1,4 +1,4 @@
-//! Micro-benchmarks of the substrate hot paths: event queue, RNG, turn
+//! Micro-benchmarks of the substrate hot paths: timing wheel, simulator, RNG, turn
 //! pool, header/packet codecs, topology generation, path computation
 //! and the data-plane traffic machinery.
 
@@ -10,47 +10,11 @@ use asi_proto::{
     TurnCursor, TurnPool, MANAGEMENT_TC, MAX_POOL_BITS,
 };
 use asi_sim::{
-    wheel::TimingWheel, AnyKernel, Arena, EventKey, EventQueue, KernelSpec, SimDuration, SimRng,
-    SimTime, Simulator, Target, EXTERNAL_RANK,
+    wheel::TimingWheel, Arena, EventKey, SimDuration, SimRng, SimTime, Simulator, EXTERNAL_RANK,
 };
 use asi_topo::{mesh, routes_from, Table1};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Duration;
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro/event_queue");
-    group.throughput(Throughput::Elements(10_000));
-    group.bench_function("push_pop_10k", |b| {
-        let mut rng = SimRng::new(1);
-        let times: Vec<u64> = (0..10_000).map(|_| rng.gen_below(1_000_000)).collect();
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
-            for &t in &times {
-                q.push(SimTime::from_ps(t), t);
-            }
-            let mut acc = 0u64;
-            while let Some((_, _, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            std::hint::black_box(acc)
-        })
-    });
-    group.bench_function("cascade_10k", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::with_capacity(64);
-            sim.schedule_at(SimTime::from_ps(1), 0u64);
-            let mut n = 0u64;
-            while let Some(f) = sim.next_event() {
-                n += 1;
-                if n < 10_000 {
-                    sim.schedule_after(asi_sim::SimDuration::from_ps(f.event % 97 + 1), n);
-                }
-            }
-            std::hint::black_box(n)
-        })
-    });
-    group.finish();
-}
 
 fn bench_wheel(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/wheel");
@@ -103,13 +67,13 @@ fn bench_arena(c: &mut Criterion) {
     group.finish();
 }
 
-/// Drives `kernel` through the fabric's dispatch pattern: 16 ranks, each
-/// dispatch scheduling a follow-on for the next rank one propagation
+/// Drives the simulator through the fabric's dispatch pattern: 16 ranks,
+/// each dispatch scheduling a follow-on for the next rank one propagation
 /// delay (40 ps) ahead, until 10 000 events have fired.
-fn kernel_cascade_10k(spec: KernelSpec) -> u64 {
-    let mut sim = Simulator::with_kernel(AnyKernel::from_spec(spec, 16, SimDuration::from_ps(40)));
+fn kernel_cascade_10k() -> u64 {
+    let mut sim = Simulator::new();
     for r in 0..16u32 {
-        sim.schedule_event(SimTime::from_ps(u64::from(r) + 1), Target::Rank(r), r);
+        sim.schedule_event(SimTime::from_ps(u64::from(r) + 1), r, r);
     }
     let mut n = 0u64;
     while let Some(f) = sim.next_event() {
@@ -117,21 +81,18 @@ fn kernel_cascade_10k(spec: KernelSpec) -> u64 {
         if n < 10_000 {
             let next = (f.event + 1) % 16;
             let at = sim.now() + SimDuration::from_ps(40);
-            sim.schedule_event(at, Target::Rank(next), next);
+            sim.schedule_event(at, next, next);
         }
         sim.finish_dispatch();
     }
     n
 }
 
-fn bench_kernels(c: &mut Criterion) {
+fn bench_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/kernel");
     group.throughput(Throughput::Elements(10_000));
     group.bench_function("serial_cascade_10k", |b| {
-        b.iter(|| std::hint::black_box(kernel_cascade_10k(KernelSpec::Serial)))
-    });
-    group.bench_function("parallel4_cascade_10k", |b| {
-        b.iter(|| std::hint::black_box(kernel_cascade_10k(KernelSpec::Parallel { shards: 4 })))
+        b.iter(|| std::hint::black_box(kernel_cascade_10k()))
     });
     group.finish();
 }
@@ -269,7 +230,7 @@ criterion_group! {
         .sample_size(30)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
-    targets = bench_event_queue, bench_wheel, bench_arena, bench_kernels, bench_rng,
+    targets = bench_wheel, bench_arena, bench_kernel, bench_rng,
         bench_turn_pool, bench_codecs, bench_topology, bench_traffic
 }
 criterion_main!(micro);

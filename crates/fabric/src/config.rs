@@ -9,7 +9,7 @@
 use crate::churn::ChurnPlan;
 use crate::faults::FaultPlan;
 use crate::traffic::TrafficPlan;
-use asi_sim::{KernelSpec, SimDuration};
+use asi_sim::SimDuration;
 
 /// Fabric-wide model parameters.
 #[derive(Clone, Debug)]
@@ -67,11 +67,9 @@ pub struct FabricConfig {
     /// duplication draws). Each device derives its own stream from this
     /// seed, so random draws are independent of global event order.
     pub seed: u64,
-    /// Scheduling kernel for the event engine: the serial timing-wheel
-    /// kernel, or the conservative-synchronization parallel kernel with a
-    /// given shard count. Output is byte-identical across all choices;
-    /// see `docs/PARALLEL.md`.
-    pub kernel: KernelSpec,
+    /// Unused: the simulator has a single scheduling kernel. Kept only so
+    /// the benchmark package, which sets this field, still compiles.
+    pub kernel: (),
 }
 
 /// Size of one credit unit in bytes.
@@ -97,7 +95,7 @@ impl Default for FabricConfig {
             traffic: TrafficPlan::none(),
             injection_rate_limit: None,
             seed: 0x1055,
-            kernel: KernelSpec::Serial,
+            kernel: (),
         }
     }
 }

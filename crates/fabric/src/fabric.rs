@@ -30,8 +30,7 @@ use asi_proto::{
     MANAGEMENT_TC,
 };
 use asi_sim::{
-    AnyKernel, Arena, KernelSpec, ParallelStats, SimDuration, SimRng, SimTime, Simulator, Target,
-    TraceEvent, TraceHandle, PICOSECOND,
+    Arena, SimDuration, SimRng, SimTime, Simulator, TraceEvent, TraceHandle, EXTERNAL_RANK,
 };
 use asi_topo::Topology;
 use std::collections::{BTreeMap, VecDeque};
@@ -161,8 +160,8 @@ struct Device {
     slow_factor: f64,
     /// Per-device random stream for loss/corruption/duplication draws,
     /// derived from the fabric seed. Device-local draws depend only on
-    /// that device's own dispatch order — which every kernel preserves —
-    /// so faulted runs stay byte-identical across kernels.
+    /// that device's own dispatch order, never on how other devices'
+    /// events interleave with it.
     rng: SimRng,
 }
 
@@ -245,15 +244,15 @@ enum Event {
 #[derive(Clone, Copy, Debug)]
 struct PacketRef(u32);
 
-/// Shard-routing target of a fabric event.
+/// The rank a fabric event executes as (see [`Simulator::schedule_event`]).
 ///
-/// Events that touch a single device route to that device's rank, so the
-/// parallel kernel can dispatch them inside a shard's lookahead window.
-/// Events that read or mutate *other* devices' state (activation, training
-/// completion, link faults, churn) are control events: the parallel kernel
-/// executes them alone at a global barrier between windows, where every
-/// shard view is consistent.
-fn target_of(event: &Event) -> Target {
+/// Events that touch a single device execute as that device's rank.
+/// Events that read or mutate *other* devices' state (activation,
+/// training completion, link faults, churn) have no rank. The rank is the
+/// origin of every event the dispatch schedules, and origins break ties
+/// between events at the same timestamp, so this mapping fixes the order
+/// of simultaneous events.
+fn rank_of(event: &Event) -> u32 {
     match event {
         Event::Arrive { dev, .. }
         | Event::Deliver { dev, .. }
@@ -265,7 +264,7 @@ fn target_of(event: &Event) -> Target {
         | Event::Timer { dev, .. }
         | Event::FaultDeviceHang { dev, .. }
         | Event::FaultDeviceSlow { dev, .. }
-        | Event::TrafficInject { dev, .. } => Target::Rank(dev.0),
+        | Event::TrafficInject { dev, .. } => dev.0,
         Event::PortTrained { .. }
         | Event::Activate { .. }
         | Event::Deactivate { .. }
@@ -273,13 +272,13 @@ fn target_of(event: &Event) -> Target {
         | Event::FaultLinkUp { .. }
         | Event::ChurnFlap { .. }
         | Event::ChurnRemove { .. }
-        | Event::ChurnAdd { .. } => Target::Control,
+        | Event::ChurnAdd { .. } => EXTERNAL_RANK,
     }
 }
 
 /// The simulated ASI fabric.
 pub struct Fabric {
-    sim: Simulator<Event, AnyKernel<Event>>,
+    sim: Simulator<Event>,
     devices: Vec<Device>,
     config: FabricConfig,
     counters: FabricCounters,
@@ -366,20 +365,7 @@ impl Fabric {
                 ),
             });
         }
-        // The conservative lookahead is the link propagation delay: no
-        // device can affect another sooner than one wire flight, so the
-        // parallel kernel may dispatch a full propagation window per shard
-        // between barriers (docs/PARALLEL.md).
-        if matches!(config.kernel, KernelSpec::Parallel { .. }) {
-            assert!(
-                config.propagation > SimDuration::ZERO,
-                "the parallel kernel needs a nonzero link propagation delay \
-                 (it is the conservative-sync lookahead)"
-            );
-        }
-        let lookahead = config.propagation.max(PICOSECOND);
-        let kernel = AnyKernel::from_spec(config.kernel, devices.len() as u32, lookahead);
-        let mut sim = Simulator::with_kernel(kernel);
+        let mut sim = Simulator::new();
         // Scheduled faults go on the clock up front; the plan is pure
         // data, so replaying the same (seed, plan) replays these too.
         for fault in &config.faults.events {
@@ -407,7 +393,7 @@ impl Fabric {
                     duration,
                 },
             };
-            sim.schedule_event(SimTime::ZERO + fault.at, target_of(&event), event);
+            sim.schedule_event(SimTime::ZERO + fault.at, rank_of(&event), event);
         }
         // Churn events likewise: an inert plan materializes to nothing
         // (and seeds no RNG), so zero-rate runs replay churn-free runs
@@ -429,7 +415,7 @@ impl Fabric {
                     }
                     ChurnAction::DeviceAdd { device } => Event::ChurnAdd { dev: DevId(device) },
                 };
-                sim.schedule_event(SimTime::ZERO + churn.at, target_of(&event), event);
+                sim.schedule_event(SimTime::ZERO + churn.at, rank_of(&event), event);
             }
         }
         // Traffic likewise: an inert plan materializes to nothing (no RNG
@@ -450,7 +436,7 @@ impl Fabric {
                     flow: shot.flow,
                     seq: shot.seq,
                 };
-                sim.schedule_event(SimTime::ZERO + shot.at, target_of(&event), event);
+                sim.schedule_event(SimTime::ZERO + shot.at, rank_of(&event), event);
             }
             traffic_flows = schedule.flows;
         }
@@ -470,17 +456,15 @@ impl Fabric {
         }
     }
 
-    /// Installs a trace sink on the fabric model and the simulator kernel.
+    /// Installs a trace sink on the fabric model and the simulator.
     /// The fabric emits [`TraceEvent::Pi5Emitted`],
     /// [`TraceEvent::DeviceActivated`] and [`TraceEvent::DeviceDeactivated`];
-    /// the kernel emits a [`TraceEvent::QueueSample`] on the first event at
-    /// or past each multiple of `sample_period` of simulated time (zero
-    /// disables sampling). Sampling on a simulated-time grid — instead of
-    /// every N processed events — makes the samples land on identical cuts
-    /// under every kernel. Pass the same handle to `FmConfig::trace` so
+    /// the simulator emits a [`TraceEvent::QueueSample`] on the first event
+    /// at or past each multiple of `sample_period` of simulated time (zero
+    /// disables sampling). Pass the same handle to `FmConfig::trace` so
     /// manager-side events land in the same stream.
     pub fn set_trace(&mut self, trace: TraceHandle, sample_period: SimDuration) {
-        self.sim.set_kernel_sampling(trace.clone(), sample_period);
+        self.sim.set_sampling(trace.clone(), sample_period);
         self.trace = trace;
     }
 
@@ -524,12 +508,6 @@ impl Fabric {
     /// Plan-driven multicast deliveries per `(group, member device)`.
     pub fn mcast_deliveries(&self) -> &BTreeMap<(u16, u32), u64> {
         &self.mcast_deliveries
-    }
-
-    /// Conservative-sync window statistics when running on the parallel
-    /// kernel; `None` on the serial kernel.
-    pub fn parallel_stats(&self) -> Option<ParallelStats> {
-        self.sim.kernel().parallel_stats()
     }
 
     /// Total simulator events processed so far (arrivals, deliveries,
@@ -678,10 +656,9 @@ impl Fabric {
     // Execution
     // ------------------------------------------------------------------
 
-    /// Schedules a fabric event, routed to its device shard (or the
-    /// control barrier) under the parallel kernel.
+    /// Schedules a fabric event, executing as its [`rank_of`].
     fn sched_at(&mut self, at: SimTime, event: Event) {
-        self.sim.schedule_event(at, target_of(&event), event);
+        self.sim.schedule_event(at, rank_of(&event), event);
     }
 
     fn sched_after(&mut self, after: SimDuration, event: Event) {
@@ -992,9 +969,7 @@ impl Fabric {
                 CreditClass::Data if bypass => p.bypass_q.push_back(entry),
                 CreditClass::Data => p.data_q.push_back(entry),
             }
-            // Occupancy high-water marks per VC class. Queue depths are
-            // device-local, so under the kernel-identity contract the
-            // peaks are identical across kernels and shard counts.
+            // Occupancy high-water marks per VC class.
             self.counters.mgmt_queue_peak =
                 self.counters.mgmt_queue_peak.max(p.mgmt_q.len() as u64);
             self.counters.data_queue_peak = self
@@ -1215,8 +1190,8 @@ impl Fabric {
     /// Draws the loss decision for one transmission on `(dev, port)`,
     /// advancing the link's Gilbert–Elliott state if the model is
     /// bursty. Draws come from the *transmitting device's* own stream,
-    /// so they depend only on that device's dispatch order — identical
-    /// under every kernel. Zero probabilities short-circuit before
+    /// so they depend only on that device's dispatch order, not on the
+    /// global one. Zero probabilities short-circuit before
     /// consuming a random draw where the decision is already known, and
     /// a draw never changes scheduling — so a lossless model replays the
     /// loss-free run byte-for-byte.
@@ -1326,7 +1301,7 @@ impl Fabric {
             // discarded whole and the requester times out (a silently
             // garbled completion would leave a permanent hole instead).
             // Corruption and duplication are drawn from the *receiving*
-            // device's stream (kernel-order independent).
+            // device's stream (independent of global dispatch order).
             let p_corrupt = self.config.faults.corrupt_completions;
             if p_corrupt > 0.0 && self.devices[dev.idx()].rng.gen_bool(p_corrupt) {
                 self.counters.dropped_corrupted += 1;

@@ -2,8 +2,8 @@
 //! device PI-4 responders, PI-5 change notification, drops and credits.
 
 use asi_fabric::{
-    AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, FmRoute, TrafficAgent, TrafficRoute,
-    DSN_BASE,
+    AgentCtx, DevId, Fabric, FabricAgent, FabricConfig, FaultPlan, FmRoute, LossModel,
+    TrafficAgent, TrafficRoute, DSN_BASE,
 };
 use asi_proto::{
     CapabilityAddr, DeviceInfo, Packet, Payload, Pi4, Pi4Status, PortEvent, PortState,
@@ -169,6 +169,68 @@ fn pi4_read_terminates_at_switches_too() {
     let info = DeviceInfo::from_words(data).unwrap();
     assert_eq!(info.device_type, asi_proto::DeviceType::Switch);
     assert_eq!(info.port_count, 16);
+}
+
+/// Fault draws come from each device's own seeded stream: a device's
+/// loss and corruption outcomes depend only on its own dispatch order,
+/// never on how unrelated traffic elsewhere interleaves with it in the
+/// global event order.
+#[test]
+fn fault_draws_do_not_depend_on_unrelated_traffic() {
+    let g = mesh(4, 4).unwrap();
+    let topo = &g.topology;
+    // Two probers in opposite corners, each reading its neighbouring
+    // switch: the two request paths share no device.
+    let a = (g.endpoint_at(0, 0), g.switch_at(1, 0));
+    let b = (g.endpoint_at(3, 3), g.switch_at(2, 3));
+    let run = |probers: &[(NodeId, NodeId)]| -> Vec<(SimTime, u32)> {
+        let faults = FaultPlan::none()
+            .with_loss(LossModel::uniform(0.25))
+            .with_corruption(0.1);
+        let mut fabric = Fabric::new(
+            topo,
+            FabricConfig {
+                faults,
+                ..FabricConfig::default()
+            },
+        );
+        fabric.set_event_limit(5_000_000);
+        fabric.activate_all(SimDuration::ZERO);
+        fabric.run_until_idle();
+        for &(src, dst) in probers {
+            let mut prober = Prober::default();
+            for req_id in 0..64 {
+                let words = asi_proto::GENERAL_INFO_WORDS as u8;
+                let addr = CapabilityAddr::baseline(0);
+                prober
+                    .outbox
+                    .push(read_request(topo, src, dst, req_id, addr, words));
+            }
+            fabric.set_agent(dev(src), Box::new(prober));
+            fabric.schedule_agent_timer(dev(src), SimDuration::ZERO, 0);
+        }
+        fabric.run_until_idle();
+        let prober = fabric.agent_as::<Prober>(dev(probers[0].0)).unwrap();
+        prober
+            .received
+            .iter()
+            .map(|(t, p)| match p.payload {
+                Payload::Pi4(Pi4::ReadCompletion { req_id, .. }) => (*t, req_id),
+                ref other => panic!("expected a completion, got {other:?}"),
+            })
+            .collect()
+    };
+    let alone = run(&[a]);
+    assert!(
+        !alone.is_empty() && alone.len() < 64,
+        "faults must drop some completions but not all: {} of 64 arrived",
+        alone.len()
+    );
+    assert_eq!(
+        alone,
+        run(&[a, b]),
+        "prober A's surviving completions changed when unrelated traffic ran"
+    );
 }
 
 #[test]

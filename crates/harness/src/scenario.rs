@@ -7,15 +7,13 @@ use asi_core::{DiscoveryRun, TopologyDb, TrafficSummary};
 use asi_fabric::{
     ChurnPlan, DevId, Fabric, FabricConfig, FaultPlan, FmRoute, TrafficPlan, DSN_BASE,
 };
-use asi_sim::{KernelSpec, SimDuration, SimRng, TraceHandle};
+use asi_sim::{SimDuration, SimRng, TraceHandle};
 use asi_state::Snapshot;
 use asi_topo::{NodeId, Topology};
 
-/// Simulator-kernel queue-depth sampling period used when a scenario
-/// carries a trace sink: one `queue-sample` record per this much
-/// *simulated* time (the kernel ignores it on a disabled handle).
-/// A simulated-time grid keeps the sample cuts identical under the
-/// serial and parallel kernels.
+/// Simulator queue-depth sampling period used when a scenario carries a
+/// trace sink: one `queue-sample` record per this much *simulated* time
+/// (the simulator ignores it on a disabled handle).
 const QUEUE_SAMPLE_PERIOD: SimDuration = SimDuration::from_us(20);
 
 /// Scenario parameters.
@@ -69,7 +67,7 @@ pub struct Scenario {
     /// Base timeout for a request's first attempt.
     pub request_timeout: SimDuration,
     /// Observability sink wired into the FM, the discovery engine, the
-    /// fabric model and the simulator kernel. Disabled by default (zero
+    /// fabric model and the simulator. Disabled by default (zero
     /// overhead); see `docs/TRACE_FORMAT.md`.
     pub trace: TraceHandle,
     /// Cached topology snapshot seeding a warm-start discovery; `None`
@@ -79,10 +77,9 @@ pub struct Scenario {
     /// warm-start verification before the FM abandons the scoped repair
     /// and falls back to a full cold discovery.
     pub warm_fallback_threshold: f64,
-    /// Simulation scheduling kernel (serial timing wheel or the
-    /// conservative-sync parallel kernel). Results are byte-identical
-    /// across kernels; see `docs/PARALLEL.md`.
-    pub kernel: KernelSpec,
+    /// Unused: the simulator has a single scheduling kernel. Kept only so
+    /// the benchmark package, which reads this field, still compiles.
+    pub kernel: (),
 }
 
 impl Scenario {
@@ -103,7 +100,7 @@ impl Scenario {
             trace: TraceHandle::disabled(),
             snapshot: None,
             warm_fallback_threshold: 0.25,
-            kernel: KernelSpec::Serial,
+            kernel: (),
         }
     }
 
@@ -185,12 +182,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the scheduling kernel executing the scenario.
-    pub fn with_kernel(mut self, kernel: KernelSpec) -> Scenario {
-        self.kernel = kernel;
-        self
-    }
-
     /// The fabric configuration this scenario implies for `topo`. The
     /// FM's endpoint is exempted from the traffic plan so discovery
     /// management runs from a dedicated host, as in the paper's setup.
@@ -210,7 +201,6 @@ impl Scenario {
             churn: self.churn.clone(),
             traffic,
             seed: self.seed,
-            kernel: self.kernel,
             ..FabricConfig::default()
         }
     }

@@ -17,7 +17,7 @@ use crate::json::Json;
 use crate::scenario::{change_experiment, sharded_discovery, summarize_traffic, Bench, Scenario};
 use asi_core::{snapshot_db, Algorithm, DiscoveryRun, RetryPolicy};
 use asi_fabric::{ChurnPlan, FaultPlan, LossModel, TrafficPlan};
-use asi_sim::{KernelSpec, OnlineStats, SimDuration};
+use asi_sim::{OnlineStats, SimDuration};
 use asi_topo::Table1;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -114,10 +114,6 @@ pub struct SweepSpec {
     /// overrides the unicast load with the cell's axis value and mixes
     /// the cell seed into the plan seed.
     pub traffic: TrafficPlan,
-    /// Scheduling kernel for every cell's event engine. Grid output is
-    /// byte-identical across kernels (see `docs/PARALLEL.md`), so this
-    /// is a cross-check knob, not an axis.
-    pub kernel: KernelSpec,
 }
 
 impl SweepSpec {
@@ -142,7 +138,6 @@ impl SweepSpec {
             churn: ChurnPlan::none(),
             loads: vec![0.0],
             traffic: TrafficPlan::none(),
-            kernel: KernelSpec::Serial,
         }
     }
 
@@ -547,7 +542,6 @@ fn run_cell(spec: &SweepSpec, cell: &Cell) -> CellResult {
         .with_faults(spec.faults.clone())
         .with_retry(spec.retry)
         .with_request_timeout(spec.request_timeout)
-        .with_kernel(spec.kernel)
         .with_seed(cell.seed);
     if cell.load > 0.0 {
         // Non-zero load: clone the grid's traffic template, override the

@@ -1,14 +1,13 @@
 //! Property tests for the data-plane traffic guarantees
 //! (`docs/TRAFFIC.md`): a zero-load plan must replay the traffic-free
-//! run byte for byte, a loaded run must be byte-identical across
-//! scheduling kernels, and multicast replication must deliver every
+//! run byte for byte, and multicast replication must deliver every
 //! group packet to every member exactly once — for any plan seed.
 
 use asi_fabric::Arrivals;
 use asi_harness::prelude::*;
 use asi_harness::{summarize_traffic, trace_to_jsonl, RingCollector};
 use asi_proto::DeviceType;
-use asi_sim::{KernelSpec, SimDuration, TraceHandle};
+use asi_sim::{SimDuration, TraceHandle};
 use asi_topo::{mesh, NodeId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -16,17 +15,11 @@ use std::collections::BTreeMap;
 /// Brings up the 3x3 mesh and runs initial discovery under `traffic`,
 /// returning everything observable: the full event trace plus the
 /// run's aggregate metrics, fabric counters and traffic summary.
-fn traced_run(
-    seed: u64,
-    algorithm: Algorithm,
-    traffic: TrafficPlan,
-    kernel: KernelSpec,
-) -> (String, String) {
+fn traced_run(seed: u64, algorithm: Algorithm, traffic: TrafficPlan) -> (String, String) {
     let sink = RingCollector::shared(1 << 20);
     let scenario = Scenario::new(algorithm)
         .with_seed(seed)
         .with_traffic_plan(traffic)
-        .with_kernel(kernel)
         .with_trace(TraceHandle::to(sink.clone()));
     let bench = Bench::start(&mesh(3, 3).unwrap().topology, &scenario, &[]);
     let run = bench.last_run();
@@ -62,7 +55,7 @@ proptest! {
         alg_idx in 0usize..3,
     ) {
         let algorithm = Algorithm::all()[alg_idx];
-        let clean = traced_run(seed, algorithm, TrafficPlan::none(), KernelSpec::Serial);
+        let clean = traced_run(seed, algorithm, TrafficPlan::none());
         let armed = traced_run(
             seed,
             algorithm,
@@ -71,44 +64,8 @@ proptest! {
                 .with_multicast(4, 0.0)
                 .with_switch_sourced(0.0)
                 .with_window(SimDuration::ZERO, SimDuration::from_ms(8)),
-            KernelSpec::Serial,
         );
         prop_assert_eq!(clean, armed);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// A loaded run is byte-identical across scheduling kernels: flow
-    /// deliveries, latency stamps and queue peaks are all device-local,
-    /// so the conservative-sync parallel kernel reproduces the serial
-    /// kernel's traffic exactly. (Trace emission order within one
-    /// instant is kernel-dependent for data packets too, so the trace
-    /// is compared as a sorted line multiset.)
-    #[test]
-    fn loaded_run_is_byte_identical_across_kernels(
-        seed in 0u64..1_000_000,
-        shards in 2u32..5,
-    ) {
-        let plan = TrafficPlan::none()
-            .with_unicast(0.3, 512)
-            .with_flows(2)
-            .with_multicast(2, 0.05)
-            .with_window(SimDuration::ZERO, SimDuration::from_ms(4))
-            .with_seed(seed ^ 0x7AF1C);
-        let sort = |(jsonl, line): (String, String)| {
-            let mut lines: Vec<&str> = jsonl.lines().collect();
-            lines.sort_unstable();
-            (lines.join("\n"), line)
-        };
-        let serial = sort(traced_run(
-            seed, Algorithm::Parallel, plan.clone(), KernelSpec::Serial,
-        ));
-        let parallel = sort(traced_run(
-            seed, Algorithm::Parallel, plan, KernelSpec::Parallel { shards },
-        ));
-        prop_assert_eq!(serial, parallel);
     }
 }
 
@@ -219,8 +176,8 @@ fn cbr_arrivals_are_deterministic_and_deliver() {
         .with_unicast(0.25, 256)
         .with_arrivals(Arrivals::Cbr)
         .with_window(SimDuration::ZERO, SimDuration::from_ms(4));
-    let a = traced_run(7, Algorithm::Parallel, plan.clone(), KernelSpec::Serial);
-    let b = traced_run(7, Algorithm::Parallel, plan, KernelSpec::Serial);
+    let a = traced_run(7, Algorithm::Parallel, plan.clone());
+    let b = traced_run(7, Algorithm::Parallel, plan);
     assert!(a.1.contains("flow_delivered"), "summary carries delivery");
     assert_eq!(a, b, "CBR runs must be reproducible");
 }

@@ -1,4 +1,4 @@
-//! The simulation engine: a clock plus the pending-event queue.
+//! The simulation engine: a clock plus the pending-event store.
 //!
 //! The engine is generic over the event payload `E`; the caller owns the
 //! dispatch loop, which keeps borrows simple and lets the fabric model hold
@@ -18,49 +18,127 @@
 //! }
 //! assert_eq!(seen, vec![Ev::Ping(1)]);
 //! ```
+//!
+//! # The deterministic event key
+//!
+//! Events are stored in a [`TimingWheel`] and fire in [`EventKey`] order:
+//! `(time, origin rank, per-origin sequence)`. Every event carries the
+//! rank it executes as ([`Simulator::schedule_event`]); while it is being
+//! dispatched, that rank is the *origin* of everything it schedules.
+//! Events scheduled outside a dispatch, or by a dispatch with no rank,
+//! have origin [`EXTERNAL_RANK`]. At one timestamp, lower origins fire
+//! first, and one origin's events fire in the order it scheduled them.
 
-use crate::kernel::{Kernel, Target};
-use crate::queue::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceHandle};
-use std::marker::PhantomData;
+use crate::wheel::{EventKey, TimingWheel};
+
+/// Origin rank of events scheduled from outside any dispatch (the
+/// harness, the fabric constructor) and by dispatches of events that
+/// execute with no rank. Sorts after every device rank at the same
+/// timestamp.
+pub const EXTERNAL_RANK: u32 = u32::MAX;
 
 /// An event popped from the queue, stamped with its firing time.
 #[derive(Debug)]
 pub struct Fired<E> {
     /// The instant the event fires (now equal to `Simulator::now`).
     pub time: SimTime,
-    /// The handle it was scheduled under.
-    pub id: EventId,
     /// The payload.
     pub event: E,
 }
 
-/// Discrete-event simulation engine, generic over the scheduling
-/// [`Kernel`] (default: the cancellable [`EventQueue`] heap).
+/// Per-origin sequence allocator backing [`EventKey::seq`].
+#[derive(Default)]
+struct SeqAlloc {
+    per_rank: Vec<u32>,
+    external: u32,
+}
+
+impl SeqAlloc {
+    #[inline]
+    fn next(&mut self, origin: u32) -> u32 {
+        if origin == EXTERNAL_RANK {
+            let s = self.external;
+            self.external += 1;
+            s
+        } else {
+            let i = origin as usize;
+            if i >= self.per_rank.len() {
+                self.per_rank.resize(i + 1, 0);
+            }
+            let s = self.per_rank[i];
+            self.per_rank[i] += 1;
+            s
+        }
+    }
+}
+
+/// Time-periodic queue-depth sampler.
+///
+/// Boundaries sit at multiples of the period; a sample for boundary `B` is
+/// emitted exactly when the engine is about to hand out the first event
+/// with `time >= B` — i.e. at the cut "everything before `B` fired".
+struct Sampler {
+    trace: TraceHandle,
+    period_ps: u64,
+    next_ps: u64,
+}
+
+impl Sampler {
+    fn disabled() -> Sampler {
+        Sampler {
+            trace: TraceHandle::disabled(),
+            period_ps: 0,
+            next_ps: 0,
+        }
+    }
+
+    fn configure(&mut self, trace: TraceHandle, period: SimDuration) {
+        self.period_ps = if trace.is_enabled() {
+            period.as_ps()
+        } else {
+            0
+        };
+        self.next_ps = self.period_ps;
+        self.trace = trace;
+    }
+
+    /// Emits samples for every boundary at or before `upto`.
+    #[inline]
+    fn advance(&mut self, upto: SimTime, depth: u64, processed: u64) {
+        if self.period_ps == 0 {
+            return;
+        }
+        while self.next_ps <= upto.as_ps() {
+            let at = SimTime::from_ps(self.next_ps);
+            self.trace
+                .emit(at, || TraceEvent::QueueSample { depth, processed });
+            self.next_ps += self.period_ps;
+        }
+    }
+}
+
+/// Discrete-event simulation engine on a timing wheel.
 ///
 /// Invariants:
-/// - with a [monotonic](Kernel::monotonic) kernel, `now()` is
-///   monotonically non-decreasing; the parallel kernel may legitimately
-///   regress the clock across pops within a lookahead window, but each
-///   handler still observes `now()` equal to its own firing time.
-/// - events fire in the kernel's documented deterministic order, so runs
-///   are reproducible.
+/// - `now()` is monotonically non-decreasing;
+/// - events fire in [`EventKey`] order, so runs are reproducible;
 /// - scheduling in the past (before `now()`) is a logic error and panics in
 ///   debug builds; in release it fires immediately at `now()`.
-pub struct Simulator<E, K: Kernel<E> = EventQueue<E>> {
-    kernel: K,
+pub struct Simulator<E> {
+    /// Pending events, each with the rank it executes as.
+    wheel: TimingWheel<(u32, E)>,
+    seqs: SeqAlloc,
+    /// Origin rank for events scheduled right now: the rank of the event
+    /// being dispatched, [`EXTERNAL_RANK`] outside dispatch.
+    origin: u32,
     now: SimTime,
     processed: u64,
     /// Hard cap on processed events; guards against accidental event storms
     /// in tests. `u64::MAX` by default.
     event_limit: u64,
-    /// Observability: queue-depth samples go here every `trace_every`
-    /// processed events (0 = never; the hot path then pays one integer
-    /// compare).
-    trace: TraceHandle,
-    trace_every: u64,
-    _ev: PhantomData<fn() -> E>,
+    sampler: Sampler,
 }
 
 impl<E> Default for Simulator<E> {
@@ -70,39 +148,17 @@ impl<E> Default for Simulator<E> {
 }
 
 impl<E> Simulator<E> {
-    /// Creates an engine at time zero on the default event-queue kernel.
+    /// Creates an engine at time zero.
     pub fn new() -> Self {
-        Simulator::with_kernel(EventQueue::new())
-    }
-
-    /// Creates an engine with a pre-reserved event-queue capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Simulator::with_kernel(EventQueue::with_capacity(cap))
-    }
-}
-
-impl<E, K: Kernel<E>> Simulator<E, K> {
-    /// Creates an engine at time zero on an explicit kernel.
-    pub fn with_kernel(kernel: K) -> Self {
         Simulator {
-            kernel,
+            wheel: TimingWheel::new(),
+            seqs: SeqAlloc::default(),
+            origin: EXTERNAL_RANK,
             now: SimTime::ZERO,
             processed: 0,
             event_limit: u64::MAX,
-            trace: TraceHandle::disabled(),
-            trace_every: 0,
-            _ev: PhantomData,
+            sampler: Sampler::disabled(),
         }
-    }
-
-    /// Shared access to the kernel.
-    pub fn kernel(&self) -> &K {
-        &self.kernel
-    }
-
-    /// Exclusive access to the kernel.
-    pub fn kernel_mut(&mut self) -> &mut K {
-        &mut self.kernel
     }
 
     /// Sets a hard cap on the number of events that [`Self::next_event`]
@@ -112,31 +168,19 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
         self.event_limit = limit;
     }
 
-    /// Installs a trace sink sampling queue depth every `every` processed
-    /// events ([`TraceEvent::QueueSample`]). `every = 0` disables
-    /// sampling; a disabled `handle` also keeps the hot path free.
-    ///
-    /// Count-based sampling is kernel-order-dependent; callers that need
-    /// samples identical across kernels use [`Self::set_kernel_sampling`]
-    /// instead.
-    pub fn set_trace(&mut self, handle: TraceHandle, every: u64) {
-        self.trace_every = if handle.is_enabled() { every } else { 0 };
-        self.trace = handle;
+    /// Installs time-periodic queue-depth sampling: one
+    /// [`TraceEvent::QueueSample`] per elapsed `period` of simulated time,
+    /// emitted at the cut "all events before the boundary fired, none at or
+    /// after it". A disabled `handle` or a zero `period` turns it off.
+    pub fn set_sampling(&mut self, handle: TraceHandle, period: SimDuration) {
+        self.sampler.configure(handle, period);
     }
 
-    /// Installs *time-periodic* queue-depth sampling inside the kernel: one
-    /// sample per elapsed `period` at the deterministic "everything before
-    /// the boundary fired" cut, identical for the serial and parallel
-    /// kernels. No-op on kernels without native sampling support.
-    pub fn set_kernel_sampling(&mut self, handle: TraceHandle, period: SimDuration) {
-        self.kernel.set_sampling(handle, period);
-    }
-
-    /// Called by the dispatch loop after each event's handler has run;
-    /// resets the kernel's dispatch context so later external schedules are
-    /// keyed identically under every kernel.
+    /// Called by the dispatch loop after each event's handler has run:
+    /// later schedules come from outside a dispatch again and get origin
+    /// [`EXTERNAL_RANK`].
     pub fn finish_dispatch(&mut self) {
-        self.kernel.finish_dispatch();
+        self.origin = EXTERNAL_RANK;
     }
 
     /// Current simulated time.
@@ -154,126 +198,83 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
     /// Number of events still pending.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.kernel.len()
+        self.wheel.len()
     }
 
     /// True if nothing is scheduled.
     #[inline]
     pub fn is_idle(&self) -> bool {
-        self.kernel.is_empty()
+        self.wheel.is_empty()
     }
 
-    /// Schedules `event` at absolute time `at`.
+    #[inline]
+    fn push(&mut self, at: SimTime, rank: u32, event: E) {
+        let origin = self.origin;
+        let key = EventKey {
+            time: at,
+            origin,
+            seq: self.seqs.next(origin),
+        };
+        self.wheel.push(key, (rank, event));
+    }
+
+    /// Schedules `event` at absolute time `at`, executing with no rank.
     ///
     /// # Panics
     /// Debug builds panic if `at < now()`.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        self.schedule_event(at, EXTERNAL_RANK, event);
+    }
+
+    /// Schedules `event` at `at`, executing as `rank`: the events its
+    /// dispatch schedules get `rank` as their origin. Use
+    /// [`EXTERNAL_RANK`] for no rank.
+    ///
+    /// # Panics
+    /// Debug builds panic if `at < now()`.
+    #[inline]
+    pub fn schedule_event(&mut self, at: SimTime, rank: u32, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
-        let at = at.max(self.now);
-        self.kernel.schedule(at, Target::External, event)
-    }
-
-    /// Schedules `event` at `at` with an explicit execution [`Target`] —
-    /// the routing hint sharded kernels partition on. Equivalent to
-    /// [`Self::schedule_at`] on kernels that ignore targets.
-    ///
-    /// # Panics
-    /// Debug builds panic if `at < now()`.
-    pub fn schedule_event(&mut self, at: SimTime, target: Target, event: E) -> EventId {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: at={at:?} now={:?}",
-            self.now
-        );
-        let at = at.max(self.now);
-        self.kernel.schedule(at, target, event)
+        self.push(at.max(self.now), rank, event);
     }
 
     /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         let at = self
             .now
             .checked_add(delay)
             .expect("SimTime overflow while scheduling");
-        self.kernel.schedule(at, Target::External, event)
+        self.push(at, EXTERNAL_RANK, event);
     }
 
     /// Schedules `event` to fire immediately (at `now()`, after any events
-    /// already scheduled for `now()`).
-    pub fn schedule_now(&mut self, event: E) -> EventId {
-        self.kernel.schedule(self.now, Target::External, event)
+    /// of the same origin already scheduled for `now()`).
+    pub fn schedule_now(&mut self, event: E) {
+        self.push(self.now, EXTERNAL_RANK, event);
     }
 
-    /// Cancels a pending event. Returns `true` if it had not yet fired.
-    /// Only the default [`EventQueue`] kernel supports cancellation; other
-    /// kernels return `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.kernel.cancel(id)
-    }
-
-    /// True if `id` is still pending (always `false` on kernels without
-    /// cancellation support).
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.kernel.is_pending(id)
-    }
-
-    /// Timestamp of the next event, if any (a global minimum even for
-    /// sharded kernels).
+    /// Timestamp of the next event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.kernel.peek_time()
+        self.wheel.peek_key().map(|k| k.time)
     }
 
     /// Pops the next event and moves the clock to its firing time.
     pub fn next_event(&mut self) -> Option<Fired<E>> {
-        let (time, id, event) = self.kernel.pop()?;
-        debug_assert!(
-            !self.kernel.monotonic() || time >= self.now,
-            "event queue went backwards"
-        );
-        self.now = time;
-        self.processed += 1;
-        assert!(
-            self.processed <= self.event_limit,
-            "simulation exceeded event limit of {} events",
-            self.event_limit
-        );
-        if self.trace_every != 0 && self.processed.is_multiple_of(self.trace_every) {
-            let (depth, processed) = (self.kernel.len() as u64, self.processed);
-            self.trace
-                .emit(self.now, || TraceEvent::QueueSample { depth, processed });
-        }
-        Some(Fired { time, id, event })
+        let head = self.wheel.peek_key()?;
+        Some(self.fire(head.time))
     }
 
     /// Pops the next event only if it fires at or before `deadline`.
     /// If the next event is later (or none exists), the clock advances to
     /// `deadline` and `None` is returned.
     pub fn next_event_until(&mut self, deadline: SimTime) -> Option<Fired<E>> {
-        match self.kernel.pop_until(deadline) {
-            Some((time, id, event)) => {
-                debug_assert!(
-                    !self.kernel.monotonic() || time >= self.now,
-                    "event queue went backwards"
-                );
-                self.now = time;
-                self.processed += 1;
-                assert!(
-                    self.processed <= self.event_limit,
-                    "simulation exceeded event limit of {} events",
-                    self.event_limit
-                );
-                if self.trace_every != 0 && self.processed.is_multiple_of(self.trace_every) {
-                    let (depth, processed) = (self.kernel.len() as u64, self.processed);
-                    self.trace
-                        .emit(self.now, || TraceEvent::QueueSample { depth, processed });
-                }
-                Some(Fired { time, id, event })
-            }
-            None => {
+        match self.wheel.peek_key() {
+            Some(head) if head.time <= deadline => Some(self.fire(head.time)),
+            _ => {
                 if deadline > self.now {
                     self.now = deadline;
                 }
@@ -282,11 +283,29 @@ impl<E, K: Kernel<E>> Simulator<E, K> {
         }
     }
 
+    /// Pops the head event, which fires at `time`.
+    #[inline]
+    fn fire(&mut self, time: SimTime) -> Fired<E> {
+        self.sampler
+            .advance(time, self.wheel.len() as u64, self.processed);
+        let (_, (rank, event)) = self.wheel.pop().expect("peeked");
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.origin = rank;
+        self.now = time;
+        self.processed += 1;
+        assert!(
+            self.processed <= self.event_limit,
+            "simulation exceeded event limit of {} events",
+            self.event_limit
+        );
+        Fired { time, event }
+    }
+
     /// Advances the clock without processing events (e.g. to model a dead
     /// period). Panics in debug builds if events would be skipped.
     pub fn advance_to(&mut self, at: SimTime) {
         debug_assert!(
-            self.kernel.peek_time().is_none_or(|t| t >= at),
+            self.peek_time().is_none_or(|t| t >= at),
             "advance_to would skip pending events"
         );
         if at > self.now {
@@ -348,14 +367,23 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_never_fire() {
+    fn serial_kernel_orders_by_time_then_origin_then_seq() {
         let mut sim = Simulator::new();
-        let id = sim.schedule_at(SimTime::from_ns(1), "x");
-        sim.schedule_at(SimTime::from_ns(2), "y");
-        assert!(sim.cancel(id));
-        assert!(!sim.is_pending(id));
-        assert_eq!(sim.next_event().unwrap().event, "y");
-        assert!(sim.next_event().is_none());
+        let t = SimTime::from_ns(5);
+        sim.schedule_at(t, "ext-0");
+        sim.schedule_event(t, 1, "ext-1");
+        sim.schedule_event(SimTime::from_ns(7), 2, "ext-2");
+        assert_eq!(sim.next_event().map(|f| f.event), Some("ext-0"));
+        sim.finish_dispatch();
+        // Dispatching the rank-1 event: its schedules carry origin 1 and
+        // sort before same-time external ones scheduled earlier.
+        assert_eq!(sim.next_event().map(|f| f.event), Some("ext-1"));
+        sim.schedule_event(SimTime::from_ns(7), 0, "from-r1");
+        sim.finish_dispatch();
+        // Back outside a dispatch: origin external again, after ext-2.
+        sim.schedule_at(SimTime::from_ns(7), "ext-3");
+        let rest: Vec<_> = std::iter::from_fn(|| sim.next_event().map(|f| f.event)).collect();
+        assert_eq!(rest, ["from-r1", "ext-2", "ext-3"]);
     }
 
     #[test]
@@ -400,8 +428,8 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_sampling_fires_every_n_events() {
-        use crate::trace::{TraceHandle, TraceRecord, TraceSink};
+    fn queue_depth_sampling_fires_once_per_period() {
+        use crate::trace::{TraceRecord, TraceSink};
         use std::cell::RefCell;
         use std::rc::Rc;
 
@@ -415,16 +443,18 @@ mod tests {
 
         let sink = Rc::new(RefCell::new(VecSink::default()));
         let mut sim = Simulator::new();
-        sim.set_trace(TraceHandle::to(sink.clone()), 3);
+        sim.set_sampling(TraceHandle::to(sink.clone()), SimDuration::from_ns(3));
         for i in 0..10u64 {
             sim.schedule_at(SimTime::from_ns(i), i);
         }
         while sim.next_event().is_some() {}
         let records = &sink.borrow().0;
-        // 10 events, sampled at processed = 3, 6, 9.
+        // 10 events at 0..=9 ns: boundaries 3, 6 and 9 ns, each cut just
+        // before the event at that instant fires.
         assert_eq!(records.len(), 3);
+        assert_eq!(records[0].time, SimTime::from_ns(3));
         match records[0].event {
-            crate::trace::TraceEvent::QueueSample { depth, processed } => {
+            TraceEvent::QueueSample { depth, processed } => {
                 assert_eq!(processed, 3);
                 assert_eq!(depth, 7);
             }
@@ -435,8 +465,8 @@ mod tests {
     #[test]
     fn disabled_trace_disables_sampling() {
         let mut sim = Simulator::new();
-        sim.set_trace(crate::trace::TraceHandle::disabled(), 3);
-        sim.schedule_now(());
+        sim.set_sampling(TraceHandle::disabled(), SimDuration::from_ns(1));
+        sim.schedule_at(SimTime::from_ns(5), ());
         assert!(sim.next_event().is_some());
     }
 

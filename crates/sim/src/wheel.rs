@@ -1,4 +1,4 @@
-//! Bucketed timing wheel (calendar queue) for the simulation kernels.
+//! Bucketed timing wheel (calendar queue): the simulator's event store.
 //!
 //! The classic binary-heap event queue pays `O(log n)` per operation with a
 //! comparison on every sift step. Discovery workloads are strongly
@@ -19,13 +19,25 @@
 //!   bucket.
 //!
 //! Entries are ordered by [`EventKey`] — `(time, origin, seq)` — the
-//! deterministic total order shared by the serial and parallel kernels (see
-//! [`crate::kernel`]). The wheel does not support cancellation; the kernels
-//! built on it never cancel (the fabric's retry machinery re-checks state on
-//! fire instead of descheduling).
+//! deterministic total order of [`crate::Simulator`]. The wheel does not
+//! support cancellation; nothing built on it cancels (the fabric's retry
+//! machinery re-checks state on fire instead of descheduling).
 
-use crate::kernel::EventKey;
+use crate::time::SimTime;
 use std::collections::BinaryHeap;
+
+/// Deterministic total order on events: lexicographic
+/// `(time, origin, seq)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
+    /// Firing time.
+    pub time: SimTime,
+    /// Rank whose dispatch scheduled the event
+    /// ([`crate::EXTERNAL_RANK`] if none).
+    pub origin: u32,
+    /// Per-origin schedule sequence number.
+    pub seq: u32,
+}
 
 /// Default bucket width: 2^18 ps ≈ 262 ns — a few serialization delays.
 pub const DEFAULT_BUCKET_SHIFT: u32 = 18;
@@ -58,7 +70,7 @@ impl<T> Ord for Entry<T> {
 
 /// A calendar queue over `(EventKey, T)` pairs.
 ///
-/// `T` is opaque payload (the kernels store `(target rank, event)`).
+/// `T` is opaque payload (the simulator stores `(rank, event)`).
 pub struct TimingWheel<T> {
     /// Ring of future buckets. `slots[b & mask]` holds entries whose bucket
     /// index is the unique value congruent to `b` in `(cur, cur + nbuckets)`.
@@ -106,7 +118,7 @@ impl<T> TimingWheel<T> {
             mask: buckets as u64 - 1,
             len: 0,
             last_pop: EventKey {
-                time: crate::SimTime::ZERO,
+                time: SimTime::ZERO,
                 origin: 0,
                 seq: 0,
             },
@@ -129,7 +141,7 @@ impl<T> TimingWheel<T> {
     }
 
     /// Inserts an entry. Keys must not precede the last *popped* key; the
-    /// kernels guarantee this because event times never precede the time of
+    /// simulator guarantees this because event times never precede the time of
     /// the event being dispatched. (`cur` may sit arbitrarily far ahead
     /// after a peek skipped an empty stretch — a late push simply joins the
     /// active heap and pops first.)
@@ -258,7 +270,6 @@ impl<T> Default for TimingWheel<T> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use crate::time::SimTime;
 
     fn key(ps: u64, origin: u32, seq: u32) -> EventKey {
         EventKey {
@@ -313,7 +324,7 @@ mod tests {
                 let mut k = key(now + dt, (round % 5) as u32, seq);
                 if k < last_pop {
                     // Respect the push invariant (keys never precede the
-                    // last popped key), as the kernels do.
+                    // last popped key), as the simulator does.
                     k.time = SimTime::from_ps(last_pop.time.as_ps() + 1);
                 }
                 seq += 1;

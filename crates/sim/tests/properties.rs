@@ -1,20 +1,21 @@
-//! Property-based tests for the simulation kernel's core invariants.
+//! Property-based tests for the simulation engine's core invariants.
 
-use asi_sim::{EventQueue, SimDuration, SimRng, SimTime, Simulator};
+use asi_sim::{SimDuration, SimRng, SimTime, Simulator};
 use proptest::prelude::*;
 
 proptest! {
     /// Events always pop in non-decreasing time order, with schedule order
-    /// breaking ties, no matter the insertion order.
+    /// breaking ties among events scheduled from outside a dispatch, no
+    /// matter the insertion order.
     #[test]
     fn queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
+        let mut sim = Simulator::new();
         for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ps(t), i);
+            sim.schedule_at(SimTime::from_ps(t), i);
         }
         let mut popped = Vec::new();
-        while let Some((t, _, idx)) = q.pop() {
-            popped.push((t.as_ps(), idx));
+        while let Some(f) = sim.next_event() {
+            popped.push((f.time.as_ps(), f.event));
         }
         prop_assert_eq!(popped.len(), times.len());
         for w in popped.windows(2) {
@@ -23,36 +24,6 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "tie-break order violated");
             }
         }
-    }
-
-    /// Cancelling an arbitrary subset removes exactly those events.
-    #[test]
-    fn queue_cancellation_is_exact(
-        times in proptest::collection::vec(0u64..100_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.push(SimTime::from_ps(t), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert!(q.cancel(*id));
-                cancelled.insert(i);
-            }
-        }
-        prop_assert_eq!(q.len(), times.len() - cancelled.len());
-        let mut survivors = Vec::new();
-        while let Some((_, _, idx)) = q.pop() {
-            survivors.push(idx);
-        }
-        for idx in &survivors {
-            prop_assert!(!cancelled.contains(idx), "cancelled event fired");
-        }
-        prop_assert_eq!(survivors.len(), times.len() - cancelled.len());
     }
 
     /// The simulator clock never goes backwards.

@@ -18,8 +18,9 @@
 //! asi-fabric-sim snapshot verify --topology mesh:3x3 --in fabric.snap --json
 //! ```
 //!
-//! Every malformed flag produces a one-line `error: ...` on stderr plus
-//! the usage text and exit code 2 — never a panic.
+//! Every malformed flag, and every flag the chosen mode does not read,
+//! produces a one-line `error: ...` on stderr plus the usage text and
+//! exit code 2 — never a panic.
 
 use advanced_switching::core::{snapshot_db, Algorithm, RetryPolicy};
 use advanced_switching::fabric::{Arrivals, ChurnPlan, FaultPlan, LossModel, TrafficPlan};
@@ -28,12 +29,13 @@ use advanced_switching::harness::{
     save_trace_jsonl, sharded_discovery, summarize_traffic, sweep, Bench, Json, RingCollector,
     Scenario, SnapshotFormat, SweepSpec,
 };
-use advanced_switching::sim::{KernelSpec, SimDuration, SimRng, TraceHandle};
+use advanced_switching::sim::{SimDuration, SimRng, TraceHandle};
 use advanced_switching::state::{checksum_of, Snapshot, TopologyDelta};
 use advanced_switching::topo::{
     design_fat_tree, dragonfly, fat_tree, irregular, mesh, torus, IrregularSpec, PortCatalogue,
     Topology,
 };
+use std::cell::RefCell;
 use std::fmt;
 use std::path::Path;
 
@@ -100,22 +102,18 @@ topology specs:
   designed:<N>        automated two-layer fat-tree sized for N endpoints over
                       the stock port catalogue (see docs/TOPOLOGIES.md)
 
-options:
+options (every mode rejects a flag it does not read):
   --algorithm serial-packet|serial-device|parallel|all   (default: all)
   --change none|remove|add     measure initial discovery or a change (default: none)
   --fm-factor <f>              FM processing speed factor (default 1)
   --device-factor <f>          device processing speed factor (default 1)
   --seed <n>                   RNG seed (default 0xA51)
-  --kernel serial|parallel[:N] event-engine scheduling kernel (default: serial;
-                               parallel = conservative-sync over N shards, 4 when
-                               omitted — output is byte-identical either way,
-                               see docs/PARALLEL.md); accepted by the sweep,
-                               stress, faults and churn modes
   --trace <path>               write a JSONL discovery trace (see docs/TRACE_FORMAT.md)
   --json                       emit JSON instead of a table
 
-fault options (compose a deterministic fault plan; accepted by every mode,
-and the `faults` mode reports the robustness metrics — see docs/FAULTS.md):
+fault options (compose a deterministic fault plan; accepted by the default,
+faults and sweep modes, and the `faults` mode reports the robustness
+metrics — see docs/FAULTS.md):
   --loss <p>                   mean per-hop packet loss probability in [0,1) (default 0)
   --loss-model uniform|bursty  loss process for --loss (default: uniform)
   --corrupt <p>                completion corruption (CRC drop) probability (default 0)
@@ -144,7 +142,7 @@ quiescence, and the churned database equal to a cold re-discovery):
 
 traffic options (initial discovery under a deterministic data-plane
 workload — see docs/TRAFFIC.md; reports discovery time against a quiet
-twin run plus delivery metrics, all byte-identical across --kernel;
+twin run plus delivery metrics, all simulation-derived and reproducible;
 exits 1 when the loaded discovery misses devices):
   --load <f>                   offered unicast load per source endpoint as a
                                fraction of its 2 Gb/s link in [0, 1] (default 0.2)
@@ -159,7 +157,7 @@ exits 1 when the loaded discovery misses devices):
                                (default 0)
   --start-us <n>               injection window start (default 0)
   --duration-us <n>            injection window length (default 8000)
-  plus --algorithm/--seed/--kernel/--fm-factor/--device-factor/--trace/--json
+  plus --algorithm/--seed/--fm-factor/--device-factor/--trace/--json
 
 sweep options (deterministic multi-threaded grid; output is byte-identical
 for any --jobs value):
@@ -185,7 +183,7 @@ discovery misses devices):
   --algorithm serial-packet|serial-device|parallel   (default: parallel)
   --fms <n>                    fabric managers; >1 runs the election-based
                                sharded discovery with a certified merge
-  --seed / --fm-factor / --device-factor / --json as above
+  --seed / --fm-factor / --device-factor / --trace / --json as above
   (--json also reports peak_rss_mb, the process's peak resident set —
   execution-dependent like wall_time_s, never byte-compare it)
 
@@ -193,7 +191,7 @@ certify options (the CI topology-certification gate: build the topology,
 re-run the whole-graph validator, then one full discovery that must find
 every device; exits 1 on any mismatch):
   --topology <spec>            family instance to certify (required)
-  --kernel / --seed / --json as above
+  --seed / --json as above
 
 snapshot options (cached-topology workflows — see docs/ARCHITECTURE.md):
   save    run a cold discovery and write the resulting snapshot to --out
@@ -204,7 +202,7 @@ snapshot options (cached-topology workflows — see docs/ARCHITECTURE.md):
   --format binary|jsonl        output format for save/--resave (default: binary)
   --threshold <f>              mismatch fraction that triggers the full
                                cold fallback during verify (default 0.25)
-  plus --algorithm/--seed/--fm-factor/--device-factor/--json where relevant";
+  plus --algorithm/--seed/--fm-factor/--device-factor/--trace/--json where relevant";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -316,19 +314,50 @@ fn parse_topology(spec: &str, seed: u64) -> Result<Topology, String> {
     }
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
+/// One mode's command-line arguments. Every reader below records the
+/// flag names it looks up, so [`reject_unread`] can refuse any other
+/// `--flag` before the mode starts work.
+struct Args {
+    list: Vec<String>,
+    read: RefCell<Vec<String>>,
+}
+
+impl Args {
+    fn new(list: &[String]) -> Args {
+        Args {
+            list: list.to_vec(),
+            read: RefCell::default(),
+        }
+    }
+
+    /// Records that the mode reads `name`.
+    fn mark(&self, name: &str) {
+        self.read.borrow_mut().push(name.to_string());
+    }
+}
+
+/// True if the boolean flag `name` is present.
+fn has_flag(args: &Args, name: &str) -> bool {
+    args.mark(name);
+    args.list.iter().any(|a| a == name)
+}
+
+fn arg_value(args: &Args, name: &str) -> Option<String> {
+    args.mark(name);
+    args.list
+        .iter()
         .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
+        .and_then(|i| args.list.get(i + 1))
         .cloned()
 }
 
 /// Every value of a repeatable `--name <value>` flag, in order.
-fn arg_values(args: &[String], name: &str) -> Vec<String> {
+fn arg_values(args: &Args, name: &str) -> Vec<String> {
+    args.mark(name);
     let mut out = Vec::new();
-    for (i, a) in args.iter().enumerate() {
+    for (i, a) in args.list.iter().enumerate() {
         if a == name {
-            match args.get(i + 1) {
+            match args.list.get(i + 1) {
                 Some(v) => out.push(v.clone()),
                 None => fail(format!("{name} is missing its value")),
             }
@@ -337,8 +366,21 @@ fn arg_values(args: &[String], name: &str) -> Vec<String> {
     out
 }
 
+/// Fails on the first `--flag` the mode has not read. Call it once every
+/// flag the mode accepts has been read, before any simulation starts.
+fn reject_unread(args: &Args) {
+    let read = args.read.borrow();
+    if let Some(flag) = args
+        .list
+        .iter()
+        .find(|a| a.starts_with("--") && !read.contains(a))
+    {
+        fail(format!("unknown flag {flag:?} for this mode"));
+    }
+}
+
 /// Parses `--name <value>` with a friendly error instead of a panic.
-fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str, default: T, what: &str) -> T {
+fn parse_arg<T: std::str::FromStr>(args: &Args, name: &str, default: T, what: &str) -> T {
     match arg_value(args, name) {
         None => default,
         Some(v) => v
@@ -347,7 +389,7 @@ fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str, default: T, what
     }
 }
 
-fn parse_loss(args: &[String]) -> f64 {
+fn parse_loss(args: &Args) -> f64 {
     let loss: f64 = parse_arg(args, "--loss", 0.0, "a probability");
     if !(0.0..1.0).contains(&loss) {
         fail(format!("--loss must be in [0, 1), got {loss}"));
@@ -356,7 +398,7 @@ fn parse_loss(args: &[String]) -> f64 {
 }
 
 /// Parses `--name <p>` as a probability in [0, 1].
-fn parse_prob(args: &[String], name: &str) -> f64 {
+fn parse_prob(args: &Args, name: &str) -> f64 {
     let p: f64 = parse_arg(args, name, 0.0, "a probability");
     if !(0.0..=1.0).contains(&p) {
         fail(format!("{name} must be in [0, 1], got {p}"));
@@ -383,7 +425,7 @@ fn spec_field<T: std::str::FromStr>(flag: &str, field: &str, what: &str) -> T {
 /// Composes the fault plan from `--loss`/`--loss-model`, the completion
 /// corruption/duplication probabilities, and any scheduled
 /// `--flap`/`--hang`/`--slow` events.
-fn parse_fault_plan(args: &[String]) -> FaultPlan {
+fn parse_fault_plan(args: &Args) -> FaultPlan {
     let loss = parse_loss(args);
     let model = match arg_value(args, "--loss-model").as_deref() {
         Some("uniform") | None => LossModel::uniform(loss),
@@ -432,7 +474,7 @@ fn parse_fault_plan(args: &[String]) -> FaultPlan {
 
 /// Parses the retry policy from `--retry-policy`, `--retries` and
 /// `--deadline-us`.
-fn parse_retry(args: &[String]) -> RetryPolicy {
+fn parse_retry(args: &Args) -> RetryPolicy {
     let retries: u32 = parse_arg(args, "--retries", 0, "an integer");
     let deadline_us = arg_value(args, "--deadline-us");
     let policy = arg_value(args, "--retry-policy");
@@ -464,7 +506,7 @@ fn parse_retry(args: &[String]) -> RetryPolicy {
     }
 }
 
-fn parse_algorithms(args: &[String]) -> Vec<Algorithm> {
+fn parse_algorithms(args: &Args) -> Vec<Algorithm> {
     match arg_value(args, "--algorithm").as_deref() {
         Some("serial-packet") => vec![Algorithm::SerialPacket],
         Some("serial-device") => vec![Algorithm::SerialDevice],
@@ -476,16 +518,6 @@ fn parse_algorithms(args: &[String]) -> Vec<Algorithm> {
     }
 }
 
-/// `--kernel serial|parallel[:N]` — the event-engine scheduling kernel.
-/// Output is byte-identical across kernels, so this is a cross-check
-/// and throughput knob, never a semantic one.
-fn parse_kernel(args: &[String]) -> KernelSpec {
-    match arg_value(args, "--kernel") {
-        None => KernelSpec::Serial,
-        Some(spec) => spec.parse().unwrap_or_else(|e: String| fail(e)),
-    }
-}
-
 fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -493,8 +525,8 @@ fn default_jobs() -> usize {
 }
 
 /// `asi-fabric-sim sweep ...`: run a named deterministic grid.
-fn sweep_main(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
+fn sweep_main(args: &Args) {
+    let quick = has_flag(args, "--quick");
     let fm_factor: f64 = parse_arg(args, "--fm-factor", 1.0, "a number");
     let device_factor: f64 = parse_arg(args, "--device-factor", 1.0, "a number");
     let mut spec = match arg_value(args, "--grid").as_deref() {
@@ -512,17 +544,19 @@ fn sweep_main(args: &[String]) {
     };
     spec.fm_factor = fm_factor;
     spec.device_factor = device_factor;
-    spec.kernel = parse_kernel(args);
     // Fault flags override the grid's plan (the `faults` grid carries
     // its own defaults; any other grid stays loss-free unless asked).
     let plan = parse_fault_plan(args);
     let has_retry_flags = ["--retries", "--retry-policy", "--deadline-us"]
         .iter()
-        .any(|f| args.iter().any(|a| a == *f));
+        .any(|f| has_flag(args, f));
     if !plan.is_inert() {
         spec.faults = plan;
-        spec.request_timeout =
-            SimDuration::from_us(parse_arg(args, "--timeout-us", 800, "an integer"));
+        spec.request_timeout = SimDuration::from_us(800);
+    }
+    if arg_value(args, "--timeout-us").is_some() {
+        let timeout_us: u64 = parse_arg(args, "--timeout-us", 800, "an integer");
+        spec.request_timeout = SimDuration::from_us(timeout_us);
     }
     if has_retry_flags {
         spec.retry = parse_retry(args);
@@ -538,6 +572,8 @@ fn sweep_main(args: &[String]) {
         }
         spec.fm_counts = vec![fms];
     }
+    let (json, csv) = (has_flag(args, "--json"), has_flag(args, "--csv"));
+    reject_unread(args);
     let started = std::time::Instant::now();
     let result = sweep::run(&spec, jobs);
     if spec.name == "scale" {
@@ -555,9 +591,9 @@ fn sweep_main(args: &[String]) {
             result.cells.len()
         );
     }
-    if args.iter().any(|a| a == "--json") {
+    if json {
         println!("{}", result.to_json().to_string_pretty());
-    } else if args.iter().any(|a| a == "--csv") {
+    } else if csv {
         print!("{}", result.to_csv());
     } else {
         print!("{}", result.to_text());
@@ -586,17 +622,16 @@ fn peak_rss_mb() -> f64 {
 /// the whole-graph validator on the generator's output, then runs one
 /// full discovery and requires every device found. Exits 1 on any
 /// mismatch, 2 on bad arguments.
-fn certify_main(args: &[String]) {
+fn certify_main(args: &Args) {
     let seed: u64 = parse_arg(args, "--seed", 0xA51, "an integer");
     let Some(topo_spec) = arg_value(args, "--topology") else {
         fail("--topology is required (e.g. certify --topology dragonfly:2,3)");
     };
     let topo = parse_topology(&topo_spec, seed).unwrap_or_else(|e| fail(e));
-    let json = args.iter().any(|a| a == "--json");
+    let json = has_flag(args, "--json");
+    reject_unread(args);
     let validated = topo.validate();
-    let scenario = Scenario::new(Algorithm::Parallel)
-        .with_seed(seed)
-        .with_kernel(parse_kernel(args));
+    let scenario = Scenario::new(Algorithm::Parallel).with_seed(seed);
     let bench = Bench::start(&topo, &scenario, &[]);
     let run = bench.last_run();
     let full_topology = run.devices_found == topo.node_count();
@@ -643,7 +678,7 @@ fn certify_main(args: &[String]) {
 /// depend on the machine and must never be byte-compared; the
 /// deterministic counterpart is `sweep --grid scale`. Exits 1 when the
 /// discovery misses devices, so CI can assert full coverage directly.
-fn stress_main(args: &[String]) {
+fn stress_main(args: &Args) {
     let seed: u64 = parse_arg(args, "--seed", 0xA51, "an integer");
     let Some(topo_spec) = arg_value(args, "--topology") else {
         fail("--topology is required (e.g. stress --topology mesh:64x64)");
@@ -652,17 +687,17 @@ fn stress_main(args: &[String]) {
     let fm_factor: f64 = parse_arg(args, "--fm-factor", 1.0, "a number");
     let device_factor: f64 = parse_arg(args, "--device-factor", 1.0, "a number");
     let algorithm = parse_single_algorithm(args, "stress");
-    let json = args.iter().any(|a| a == "--json");
+    let json = has_flag(args, "--json");
     let trace = trace_out(args);
     let scenario = Scenario::new(algorithm)
         .with_factors(fm_factor, device_factor)
         .with_seed(seed)
-        .with_kernel(parse_kernel(args))
         .with_trace(trace.handle.clone());
     let fms: usize = parse_arg(args, "--fms", 1, "an integer");
     if fms == 0 {
         fail("--fms must be at least 1");
     }
+    reject_unread(args);
     if fms > 1 {
         return stress_sharded(&topo, fms, &scenario, algorithm, seed, json, &trace);
     }
@@ -801,7 +836,7 @@ fn stress_sharded(
     }
 }
 
-fn parse_snapshot_format(args: &[String]) -> SnapshotFormat {
+fn parse_snapshot_format(args: &Args) -> SnapshotFormat {
     match arg_value(args, "--format").as_deref() {
         Some("binary") | None => SnapshotFormat::Binary,
         Some("jsonl") => SnapshotFormat::Jsonl,
@@ -810,7 +845,7 @@ fn parse_snapshot_format(args: &[String]) -> SnapshotFormat {
 }
 
 /// Modes that run one concrete discovery (stress, snapshot) reject `all`.
-fn parse_single_algorithm(args: &[String], mode: &str) -> Algorithm {
+fn parse_single_algorithm(args: &Args, mode: &str) -> Algorithm {
     match arg_value(args, "--algorithm").as_deref() {
         Some("serial-packet") => Algorithm::SerialPacket,
         Some("serial-device") => Algorithm::SerialDevice,
@@ -822,7 +857,7 @@ fn parse_single_algorithm(args: &[String], mode: &str) -> Algorithm {
     }
 }
 
-fn require_arg(args: &[String], name: &str, hint: &str) -> String {
+fn require_arg(args: &Args, name: &str, hint: &str) -> String {
     arg_value(args, name).unwrap_or_else(|| fail(format!("{name} is required ({hint})")))
 }
 
@@ -874,11 +909,11 @@ fn link_arr(links: &[(u64, u8, u64, u8)]) -> Json {
 
 /// `asi-fabric-sim snapshot <save|load|diff|verify> ...`: cached-topology
 /// workflows on the asi-state snapshot format.
-fn snapshot_main(args: &[String]) {
-    let Some(subcommand) = args.first() else {
+fn snapshot_main(args: &Args) {
+    let Some(subcommand) = args.list.first() else {
         fail("snapshot wants a subcommand (save, load, diff, verify)");
     };
-    let json = args.iter().any(|a| a == "--json");
+    let json = has_flag(args, "--json");
     match subcommand.as_str() {
         "save" => {
             let seed: u64 = parse_arg(args, "--seed", 0xA51, "an integer");
@@ -888,7 +923,10 @@ fn snapshot_main(args: &[String]) {
             let fm_factor: f64 = parse_arg(args, "--fm-factor", 1.0, "a number");
             let device_factor: f64 = parse_arg(args, "--device-factor", 1.0, "a number");
             let trace = trace_out(args);
-            let scenario = Scenario::new(parse_single_algorithm(args, "snapshot"))
+            let algorithm = parse_single_algorithm(args, "snapshot");
+            let format = parse_snapshot_format(args);
+            reject_unread(args);
+            let scenario = Scenario::new(algorithm)
                 .with_factors(fm_factor, device_factor)
                 .with_seed(seed)
                 .with_trace(trace.handle.clone());
@@ -901,15 +939,18 @@ fn snapshot_main(args: &[String]) {
                 }
             });
             trace.save();
-            save_snapshot(Path::new(&out), &snap, parse_snapshot_format(args))
+            save_snapshot(Path::new(&out), &snap, format)
                 .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
             print_snapshot_summary(&out, &snap, json);
         }
         "load" => {
             let input = require_arg(args, "--in", "the snapshot to read");
+            let resave = arg_value(args, "--resave");
+            let format = parse_snapshot_format(args);
+            reject_unread(args);
             let snap = load_snapshot_or_fail(&input);
-            if let Some(resave) = arg_value(args, "--resave") {
-                save_snapshot(Path::new(&resave), &snap, parse_snapshot_format(args))
+            if let Some(resave) = resave {
+                save_snapshot(Path::new(&resave), &snap, format)
                     .unwrap_or_else(|e| fail(format!("cannot write {resave}: {e}")));
             }
             print_snapshot_summary(&input, &snap, json);
@@ -917,6 +958,7 @@ fn snapshot_main(args: &[String]) {
         "diff" => {
             let old = require_arg(args, "--old", "the baseline snapshot");
             let new = require_arg(args, "--new", "the newer snapshot");
+            reject_unread(args);
             let delta =
                 TopologyDelta::between(&load_snapshot_or_fail(&old), &load_snapshot_or_fail(&new));
             if json {
@@ -946,9 +988,11 @@ fn snapshot_main(args: &[String]) {
             }
             let fm_factor: f64 = parse_arg(args, "--fm-factor", 1.0, "a number");
             let device_factor: f64 = parse_arg(args, "--device-factor", 1.0, "a number");
-            let snap = load_snapshot_or_fail(&input);
             let trace = trace_out(args);
-            let scenario = Scenario::new(parse_single_algorithm(args, "snapshot"))
+            let algorithm = parse_single_algorithm(args, "snapshot");
+            reject_unread(args);
+            let snap = load_snapshot_or_fail(&input);
+            let scenario = Scenario::new(algorithm)
                 .with_factors(fm_factor, device_factor)
                 .with_seed(seed)
                 .with_snapshot(snap)
@@ -1005,7 +1049,7 @@ struct TraceOut {
     handle: TraceHandle,
 }
 
-fn trace_out(args: &[String]) -> TraceOut {
+fn trace_out(args: &Args) -> TraceOut {
     let path = arg_value(args, "--trace");
     let collector = path.as_ref().map(|_| RingCollector::shared(1 << 20));
     let handle = collector
@@ -1113,7 +1157,7 @@ fn print_reports(reports: &[RunReport], json: bool) {
 /// divergence windows) and exits 1 unless the run ends converged:
 /// full topology, zero divergence at quiescence, and a churned
 /// database equal to a cold re-discovery of the end-state fabric.
-fn churn_main(args: &[String]) {
+fn churn_main(args: &Args) {
     let seed: u64 = parse_arg(args, "--seed", 0xA51, "an integer");
     let Some(topo_spec) = arg_value(args, "--topology") else {
         fail("--topology is required (e.g. churn --topology mesh:3x3)");
@@ -1122,7 +1166,7 @@ fn churn_main(args: &[String]) {
     let fm_factor: f64 = parse_arg(args, "--fm-factor", 1.0, "a number");
     let device_factor: f64 = parse_arg(args, "--device-factor", 1.0, "a number");
     let algorithm = parse_single_algorithm(args, "churn");
-    let json = args.iter().any(|a| a == "--json");
+    let json = has_flag(args, "--json");
     let flap_rate: f64 = parse_arg(args, "--flap-rate", 1_500.0, "a number");
     let flap_down_us: u64 = parse_arg(args, "--flap-down-us", 200, "an integer");
     let device_rate: f64 = parse_arg(args, "--device-rate", 300.0, "a number");
@@ -1145,10 +1189,10 @@ fn churn_main(args: &[String]) {
         fail("churn wants a live plan: give --flap-rate or --device-rate a positive value");
     }
     let trace = trace_out(args);
+    reject_unread(args);
     let scenario = Scenario::new(algorithm)
         .with_factors(fm_factor, device_factor)
         .with_seed(seed)
-        .with_kernel(parse_kernel(args))
         .with_partial_assimilation(true)
         .with_churn(plan)
         .with_trace(trace.handle.clone());
@@ -1216,10 +1260,9 @@ fn churn_main(args: &[String]) {
 /// twin first so the report carries the paper's headline — how much
 /// the offered load moved the discovery time — next to the delivery
 /// metrics (goodput, latency quantiles, credit stalls, queue peaks).
-/// Every field is simulation-derived, so the output is byte-identical
-/// across `--kernel` values. Exits 1 when the loaded discovery misses
-/// devices.
-fn traffic_main(args: &[String]) {
+/// Every field is simulation-derived, so the output is reproducible
+/// byte for byte. Exits 1 when the loaded discovery misses devices.
+fn traffic_main(args: &Args) {
     let seed: u64 = parse_arg(args, "--seed", 0xA51, "an integer");
     let Some(topo_spec) = arg_value(args, "--topology") else {
         fail("--topology is required (e.g. traffic --topology mesh:3x3)");
@@ -1228,7 +1271,7 @@ fn traffic_main(args: &[String]) {
     let fm_factor: f64 = parse_arg(args, "--fm-factor", 1.0, "a number");
     let device_factor: f64 = parse_arg(args, "--device-factor", 1.0, "a number");
     let algorithm = parse_single_algorithm(args, "traffic");
-    let json = args.iter().any(|a| a == "--json");
+    let json = has_flag(args, "--json");
     let load: f64 = parse_arg(args, "--load", 0.2, "a number");
     if !(0.0..=1.0).contains(&load) {
         fail(format!("--load must be in [0, 1], got {load}"));
@@ -1278,10 +1321,10 @@ fn traffic_main(args: &[String]) {
         plan = plan.with_multicast(mcast_groups, mcast_load);
     }
     let trace = trace_out(args);
+    reject_unread(args);
     let base = Scenario::new(algorithm)
         .with_factors(fm_factor, device_factor)
-        .with_seed(seed)
-        .with_kernel(parse_kernel(args));
+        .with_seed(seed);
     // Quiet twin: same scenario, no plan — the delta is the headline.
     let quiet_time = Bench::start(&topo, &base, &[])
         .last_run()
@@ -1379,7 +1422,7 @@ fn traffic_main(args: &[String]) {
 
 /// `asi-fabric-sim faults ...`: initial discovery under a composed
 /// fault plan, reporting the robustness/degradation metrics.
-fn faults_main(args: &[String]) {
+fn faults_main(args: &Args) {
     let seed: u64 = parse_arg(args, "--seed", 0xA51, "an integer");
     let Some(topo_spec) = arg_value(args, "--topology") else {
         fail("--topology is required (e.g. faults --topology mesh:3x3)");
@@ -1390,16 +1433,16 @@ fn faults_main(args: &[String]) {
     let faults = parse_fault_plan(args);
     let retry = parse_retry(args);
     let timeout_us: u64 = parse_arg(args, "--timeout-us", 800, "an integer");
-    let json = args.iter().any(|a| a == "--json");
+    let json = has_flag(args, "--json");
     let algorithms = parse_algorithms(args);
     let trace = trace_out(args);
+    reject_unread(args);
 
     let mut reports = Vec::new();
     for algorithm in algorithms {
         let scenario = Scenario::new(algorithm)
             .with_factors(fm_factor, device_factor)
             .with_seed(seed)
-            .with_kernel(parse_kernel(args))
             .with_faults(faults.clone())
             .with_retry(retry)
             .with_request_timeout(SimDuration::from_us(timeout_us))
@@ -1414,52 +1457,44 @@ fn faults_main(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.is_empty() || argv.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    if args[0] == "sweep" {
-        sweep_main(&args[1..]);
-        return;
+    let mode: Option<fn(&Args)> = match argv[0].as_str() {
+        "sweep" => Some(sweep_main),
+        "stress" => Some(stress_main),
+        "certify" => Some(certify_main),
+        "faults" => Some(faults_main),
+        "churn" => Some(churn_main),
+        "traffic" => Some(traffic_main),
+        "snapshot" => Some(snapshot_main),
+        _ => None,
+    };
+    match mode {
+        Some(mode_main) => mode_main(&Args::new(&argv[1..])),
+        None => discovery_main(&Args::new(&argv)),
     }
-    if args[0] == "stress" {
-        stress_main(&args[1..]);
-        return;
-    }
-    if args[0] == "certify" {
-        certify_main(&args[1..]);
-        return;
-    }
-    if args[0] == "faults" {
-        faults_main(&args[1..]);
-        return;
-    }
-    if args[0] == "churn" {
-        churn_main(&args[1..]);
-        return;
-    }
-    if args[0] == "traffic" {
-        traffic_main(&args[1..]);
-        return;
-    }
-    if args[0] == "snapshot" {
-        snapshot_main(&args[1..]);
-        return;
-    }
-    let seed: u64 = parse_arg(&args, "--seed", 0xA51, "an integer");
-    let Some(topo_spec) = arg_value(&args, "--topology") else {
+}
+
+/// The default mode: initial discovery or a topological change, per
+/// algorithm.
+fn discovery_main(args: &Args) {
+    let seed: u64 = parse_arg(args, "--seed", 0xA51, "an integer");
+    let Some(topo_spec) = arg_value(args, "--topology") else {
         fail("--topology is required (e.g. --topology mesh:3x3)");
     };
     let topo = parse_topology(&topo_spec, seed).unwrap_or_else(|e| fail(e));
-    let fm_factor: f64 = parse_arg(&args, "--fm-factor", 1.0, "a number");
-    let device_factor: f64 = parse_arg(&args, "--device-factor", 1.0, "a number");
-    let faults = parse_fault_plan(&args);
-    let retry = parse_retry(&args);
-    let timeout_us: u64 = parse_arg(&args, "--timeout-us", 800, "an integer");
-    let change = arg_value(&args, "--change").unwrap_or_else(|| "none".into());
-    let json = args.iter().any(|a| a == "--json");
-    let algorithms = parse_algorithms(&args);
-    let trace = trace_out(&args);
+    let fm_factor: f64 = parse_arg(args, "--fm-factor", 1.0, "a number");
+    let device_factor: f64 = parse_arg(args, "--device-factor", 1.0, "a number");
+    let faults = parse_fault_plan(args);
+    let retry = parse_retry(args);
+    let timeout_us: u64 = parse_arg(args, "--timeout-us", 800, "an integer");
+    let change = arg_value(args, "--change").unwrap_or_else(|| "none".into());
+    let json = has_flag(args, "--json");
+    let algorithms = parse_algorithms(args);
+    let trace = trace_out(args);
+    reject_unread(args);
 
     let mut reports = Vec::new();
     for algorithm in algorithms {
